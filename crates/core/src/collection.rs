@@ -211,8 +211,8 @@ impl Collection {
     /// [`MilvusError::Overloaded`] instead of queueing behind a backlog it
     /// would only deepen. Admitted queries on an idle scheduler pass
     /// straight to the serial path; queries arriving while another is
-    /// running are coalesced — held up to the configured window, then run
-    /// as one batched segment sweep whose results are bit-identical to the
+    /// running are coalesced — queued until it finishes, then run as one
+    /// batched segment sweep whose results are bit-identical to the
     /// serial path (the batch engines share each segment's data rows across
     /// a ×4 query tile instead of re-streaming them per query).
     pub fn search(&self, field: &str, query: &[f32], params: &SearchParams) -> Result<Vec<SearchHit>> {
@@ -359,7 +359,7 @@ impl Collection {
     }
 
     /// Explicit batch entry (the REST `search_batch` endpoint): the queries
-    /// are already a batch, so skip the coalescing window entirely and go
+    /// are already a batch, so skip the coalescing queue entirely and go
     /// straight into the grouped batch execution. One admission slot covers
     /// the whole call.
     pub fn search_many(

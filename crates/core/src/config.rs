@@ -27,7 +27,7 @@ pub struct CollectionConfig {
     pub wal_path: Option<PathBuf>,
     /// Index build parameters (nlist, HNSW M, seeds…).
     pub build_params: milvus_index::BuildParams,
-    /// Query-scheduler knobs (coalescing window, admission budget).
+    /// Query-scheduler knobs (coalescing batch cap, admission budget).
     pub scheduler: SchedulerConfig,
 }
 
@@ -68,17 +68,16 @@ impl CollectionConfig {
     }
 }
 
-/// Query-scheduler tuning: the coalescing window and the admission budget.
+/// Query-scheduler tuning: the coalescing batch cap and the admission budget.
 /// Lives here (not in `milvus-exec`) because the knobs are per-collection.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Master switch for cross-query coalescing. Off, every search takes
     /// the serial path directly (admission control still applies).
     pub coalescing: bool,
-    /// Maximum time the oldest pending query is held before its batch runs.
-    pub window: Duration,
-    /// Pending-query count that triggers immediate batch execution (and the
-    /// cap on one batch's size).
+    /// The cap on one batch's size. A batch runs as soon as the search
+    /// ahead of it finishes, taking up to this many of the queries that
+    /// queued meanwhile; no timer holds a query back.
     pub max_batch: usize,
     /// Hard ceiling on concurrently admitted queries per collection.
     pub max_inflight: usize,
@@ -102,7 +101,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
             coalescing: true,
-            window: Duration::from_millis(1),
             max_batch: 32,
             max_inflight: 1024,
             min_inflight: 4,

@@ -2,8 +2,25 @@
 //! applications").
 //!
 //! A deliberately dependency-free HTTP/1.1 server over [`crate::Milvus`]:
-//! `std::net::TcpListener`, one thread per connection, JSON bodies via
-//! `serde_json`. The route table mirrors the SDK surface:
+//! `std::net::TcpListener` with a blocking accept, one thread per
+//! connection, JSON bodies via `serde_json`.
+//!
+//! Connections persist (HTTP/1.1 keep-alive): one serves requests until
+//! the client sends `Connection: close`, speaks HTTP/1.0, or hangs up, so
+//! a client pays the connect and the thread spawn once, not per request.
+//! What clients can hold open is bounded by constants, not knobs:
+//!
+//! * at most `MAX_CONNECTIONS` (512) connections are open; a new one past
+//!   that is answered `503 Service Unavailable` with `Retry-After: 1` and
+//!   closed;
+//! * a connection with no request for `IDLE_TIMEOUT` (30 s) is closed and
+//!   its thread exits;
+//! * a request whose framing cannot be trusted is answered and its
+//!   connection closed: a head over 64 KiB gets `431`, a `Content-Length`
+//!   over 64 MiB gets `413` (nothing is allocated for the body), one that
+//!   does not parse gets `400`, and a `Transfer-Encoding` body gets `501`.
+//!
+//! The route table mirrors the SDK surface:
 //!
 //! | Method & path | Body | Action |
 //! |---|---|---|
@@ -15,7 +32,7 @@
 //! | `POST /collections/{name}/entities/delete` | `{ids}` | delete |
 //! | `POST /collections/{name}/flush` | — | flush barrier (§5.1) |
 //! | `POST /collections/{name}/search` | `{vector, k, nprobe?, ef?, filter?}` | vector / filtered query (429 when the admission controller sheds) |
-//! | `POST /collections/{name}/search_batch` | `{vectors, k, nprobe?, ef?}` | explicit batch query: skips the coalescing window, straight into the batch engines |
+//! | `POST /collections/{name}/search_batch` | `{vectors, k, nprobe?, ef?}` | explicit batch query: skips the coalescing queue, straight into the batch engines |
 //! | `POST /collections/{name}/explain` | `{vector, k, nprobe?, ef?}` | search under a forced trace; returns an `EXPLAIN ANALYZE` report |
 //! | `POST /collections/{name}/index` | `{field?, index_type}` | build index |
 //! | `GET /metrics` | — | Prometheus text exposition of all metric series |
@@ -25,9 +42,12 @@
 //! | `GET /debug/profile` | — | per-collection per-stage time breakdown from sampled traces |
 //! | `GET /health` | — | component health (ok/degraded/unhealthy); 503 when unhealthy |
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use milvus_index::traits::SearchParams;
 use milvus_index::{Metric, VectorSet};
@@ -38,111 +58,269 @@ use serde_json::{json, Value};
 use crate::config::CollectionConfig;
 use crate::Milvus;
 
-/// A running REST server; dropping the handle does not stop accepted
-/// connections but the listener thread exits once `shutdown` is called.
+/// Open connections past which a new one is refused with `503`.
+const MAX_CONNECTIONS: usize = 512;
+/// A connection that sends no request (or takes no response) for this
+/// long is closed.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Largest request head: request line plus headers.
+const MAX_HEAD_BYTES: usize = 64 << 10;
+/// Largest request body; a larger `Content-Length` is refused unread.
+const MAX_BODY_BYTES: usize = 64 << 20;
+
+const JSON: &str = "application/json";
+
+/// A running REST server. `shutdown` or dropping the handle stops the
+/// listener and joins its thread; connections already accepted are served
+/// until their clients close them or go idle.
 pub struct RestServer {
-    addr: std::net::SocketAddr,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl RestServer {
     /// Bind `addr` (use port 0 for an ephemeral port) and serve `milvus`.
-    pub fn serve(milvus: Arc<Milvus>, addr: &str) -> std::io::Result<RestServer> {
+    pub fn serve(milvus: Arc<Milvus>, addr: &str) -> io::Result<RestServer> {
+        Self::serve_capped(milvus, addr, MAX_CONNECTIONS)
+    }
+
+    fn serve_capped(
+        milvus: Arc<Milvus>,
+        addr: &str,
+        max_connections: usize,
+    ) -> io::Result<RestServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
-        listener.set_nonblocking(true)?;
+        let open = Arc::new(AtomicUsize::new(0));
         let handle = std::thread::Builder::new().name("milvus-rest".into()).spawn(move || {
-            while !flag.load(std::sync::atomic::Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let m = Arc::clone(&milvus);
-                        std::thread::spawn(move || {
-                            let _ = handle_connection(stream, &m);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            for stream in listener.incoming() {
+                if flag.load(Ordering::SeqCst) {
+                    break;
                 }
+                // A failed accept (say, a handshake the client aborted)
+                // leaves the listener usable.
+                let Ok(stream) = stream else { continue };
+                let Some(slot) = ConnectionSlot::take(&open, max_connections) else {
+                    refuse(&stream);
+                    continue;
+                };
+                let m = Arc::clone(&milvus);
+                // A failed spawn drops the closure, which closes the stream
+                // and frees the slot.
+                let _ =
+                    std::thread::Builder::new().name("milvus-rest-conn".into()).spawn(move || {
+                        let _slot = slot;
+                        let _ = handle_connection(stream, &m);
+                    });
             }
         })?;
         Ok(RestServer { addr: local, shutdown, handle: Some(handle) })
     }
 
     /// The bound address (for clients when port 0 was requested).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Stop accepting connections and join the listener thread.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop accepting connections and join the listener thread; the same
+    /// as dropping the server.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for RestServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        let Some(handle) = self.handle.take() else { return };
+        self.shutdown.store(true, Ordering::SeqCst);
+        // The listener blocks in `accept`: connect once so it wakes and
+        // sees the flag.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let woke = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
+        // Without a wake-up the listener may never return; leave it
+        // detached rather than hang.
+        if woke || handle.is_finished() {
+            let _ = handle.join();
         }
     }
 }
 
-fn handle_connection(stream: TcpStream, milvus: &Milvus) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
+/// One counted open connection; dropping it frees the slot.
+struct ConnectionSlot(Arc<AtomicUsize>);
 
-    // Headers: we only need Content-Length.
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let line = line.trim();
-        if line.is_empty() {
+impl ConnectionSlot {
+    fn take(open: &Arc<AtomicUsize>, cap: usize) -> Option<ConnectionSlot> {
+        if open.fetch_add(1, Ordering::SeqCst) >= cap {
+            open.fetch_sub(1, Ordering::SeqCst);
+            return None;
+        }
+        Some(ConnectionSlot(Arc::clone(open)))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answer a connection over the cap without reading from it, then close
+/// it. The response is a few hundred bytes into a fresh socket's send
+/// buffer, so the write does not block the listener.
+fn refuse(stream: &TcpStream) {
+    let (status, content_type, body) =
+        json_response(err("503 Service Unavailable", "too many open connections"));
+    let _ = write_response(
+        &mut BufWriter::new(stream),
+        status,
+        content_type,
+        body.as_bytes(),
+        false,
+        "Retry-After: 1\r\n",
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// One well-framed request.
+struct Request {
+    method: String,
+    path: String,
+    body: Vec<u8>,
+    /// False when the client asked to close or spoke HTTP/1.0.
+    keep_alive: bool,
+}
+
+/// A request whose framing is lost: the status and message to answer
+/// with before closing the connection.
+type Refusal = (&'static str, String);
+
+/// Serve requests on one connection until the client closes it, asks to
+/// close, goes idle, or sends a request that cannot be framed.
+fn handle_connection(stream: TcpStream, milvus: &Milvus) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
+    stream.set_write_timeout(Some(IDLE_TIMEOUT))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut out = BufWriter::new(stream);
+    while let Some(request) = read_request(&mut reader)? {
+        let keep_alive = matches!(&request, Ok(req) if req.keep_alive);
+        let (status, content_type, body) = match request {
+            Ok(req) => respond(milvus, &req),
+            Err((status, msg)) => json_response(err(status, msg)),
+        };
+        write_response(&mut out, status, content_type, body.as_bytes(), keep_alive, "")?;
+        if !keep_alive {
             break;
         }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
+    }
+    Ok(())
+}
+
+/// Read one request; `None` is a clean end of stream between requests.
+fn read_request(r: &mut impl BufRead) -> io::Result<Option<Result<Request, Refusal>>> {
+    let too_large = || {
+        ("431 Request Header Fields Too Large", format!("request head over {MAX_HEAD_BYTES} bytes"))
+    };
+    let mut head = r.by_ref().take(MAX_HEAD_BYTES as u64);
+    let mut line = String::new();
+    // Empty lines before a request line are ignored (RFC 9112 §2.2).
+    while line.trim().is_empty() {
+        line.clear();
+        if head.read_line(&mut line)? == 0 {
+            return Ok(if head.limit() == 0 { Some(Err(too_large())) } else { None });
         }
     }
+    let mut parts = line.split_whitespace();
+    let method = parts.next().unwrap_or("").to_string();
+    let path = parts.next().unwrap_or("").to_string();
+    let mut keep_alive = parts.next() != Some("HTTP/1.0");
+
+    let mut content_length = 0usize;
+    let mut refusal = None;
+    loop {
+        line.clear();
+        head.read_line(&mut line)?;
+        if !line.ends_with('\n') {
+            if head.limit() == 0 {
+                return Ok(Some(Err(too_large())));
+            }
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        let header = line.trim();
+        if header.is_empty() {
+            break;
+        }
+        let Some((name, value)) = header.split_once(':') else { continue };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            match value.parse::<u64>() {
+                Ok(n) if n <= MAX_BODY_BYTES as u64 => content_length = n as usize,
+                Ok(n) => {
+                    refusal = Some((
+                        "413 Payload Too Large",
+                        format!("body of {n} bytes exceeds {MAX_BODY_BYTES}"),
+                    ))
+                }
+                Err(_) => {
+                    refusal = Some(("400 Bad Request", format!("bad Content-Length {value:?}")))
+                }
+            }
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            refusal = Some((
+                "501 Not Implemented",
+                "Transfer-Encoding is not supported; send Content-Length".to_string(),
+            ));
+        } else if name.eq_ignore_ascii_case("connection")
+            && value.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"))
+        {
+            keep_alive = false;
+        }
+    }
+    if let Some(refusal) = refusal {
+        return Ok(Some(Err(refusal)));
+    }
     let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body)?;
-    }
+    r.read_exact(&mut body)?;
+    Ok(Some(Ok(Request { method, path, body, keep_alive })))
+}
 
+/// Answer one request: `(status, content type, body)`.
+fn respond(milvus: &Milvus, req: &Request) -> (&'static str, &'static str, String) {
     // Prometheus scrape endpoint: text exposition format, not JSON.
-    if method == "GET" && path.trim_end_matches('/') == "/metrics" {
+    if req.method == "GET" && req.path.trim_end_matches('/') == "/metrics" {
         let text = milvus_obs::registry().render_prometheus();
-        let mut out = stream;
-        write!(
-            out,
-            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{text}",
-            text.len()
-        )?;
-        return out.flush();
+        return ("200 OK", "text/plain; version=0.0.4", text);
     }
+    json_response(route(milvus, &req.method, &req.path, &req.body))
+}
 
-    let (status, payload) = route(milvus, &method, &path, &body);
-    let body = serde_json::to_string(&payload).unwrap_or_else(|_| "{}".into());
-    let mut out = stream;
+fn json_response((status, payload): (&'static str, Value)) -> (&'static str, &'static str, String) {
+    (status, JSON, serde_json::to_string(&payload).unwrap_or_else(|_| "{}".into()))
+}
+
+/// Write one response and flush it: a small response leaves in one write.
+fn write_response(
+    out: &mut impl Write,
+    status: &str,
+    content_type: &str,
+    body: &[u8],
+    keep_alive: bool,
+    extra_headers: &str,
+) -> io::Result<()> {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
     write!(
         out,
-        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n{extra_headers}\r\n",
         body.len()
     )?;
+    out.write_all(body)?;
     out.flush()
 }
 
@@ -678,12 +856,13 @@ fn route(milvus: &Milvus, method: &str, path: &str, body: &[u8]) -> (&'static st
 mod tests {
     use super::*;
 
-    /// A tiny blocking HTTP client for the tests.
+    /// A tiny blocking HTTP client for the tests: one request per
+    /// connection, read to EOF.
     fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (String, Value) {
         let mut stream = TcpStream::connect(addr).expect("connect");
         write!(
             stream,
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
         )
         .unwrap();
@@ -692,6 +871,50 @@ mod tests {
         let status = response.lines().next().unwrap_or("").to_string();
         let json_body = response.split("\r\n\r\n").nth(1).unwrap_or("{}");
         (status, serde_json::from_str(json_body).unwrap_or(Value::Null))
+    }
+
+    /// Read one response off a kept-alive stream: status line, headers
+    /// (lower-cased names) and body.
+    fn read_one(r: &mut impl BufRead) -> (String, Vec<(String, String)>, String) {
+        let mut status = String::new();
+        r.read_line(&mut status).unwrap();
+        let mut headers = Vec::new();
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            r.read_line(&mut line).unwrap();
+            let Some((name, value)) = line.trim_end().split_once(':') else { break };
+            let (name, value) = (name.to_ascii_lowercase(), value.trim().to_string());
+            if name == "content-length" {
+                length = value.parse().unwrap();
+            }
+            headers.push((name, value));
+        }
+        let mut body = vec![0; length];
+        r.read_exact(&mut body).unwrap();
+        (status.trim_end().to_string(), headers, String::from_utf8(body).unwrap())
+    }
+
+    fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+        headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+    }
+
+    /// Send raw request bytes on a fresh connection; return the one
+    /// response and whether the server then closed the connection. A
+    /// server that closes with request bytes still unread resets the
+    /// connection, which counts as closed too.
+    fn raw_exchange(addr: SocketAddr, request: &[u8]) -> (String, Vec<(String, String)>, bool) {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        (&stream).write_all(request).unwrap();
+        let mut r = BufReader::new(stream);
+        let (status, headers, _) = read_one(&mut r);
+        let mut rest = Vec::new();
+        let closed = match r.read_to_end(&mut rest) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == io::ErrorKind::ConnectionReset,
+        };
+        (status, headers, closed)
     }
 
     fn server() -> (RestServer, std::net::SocketAddr) {
@@ -809,7 +1032,11 @@ mod tests {
 
         // Raw scrape: the body is Prometheus text, not JSON.
         let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "GET /metrics HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n").unwrap();
+        write!(
+            stream,
+            "GET /metrics HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
         let mut response = String::new();
         BufReader::new(stream).read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
@@ -964,18 +1191,110 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_is_clean() {
-        let (server, addr) = server();
-        server.shutdown();
-        // New connections must fail (listener gone) — give the OS a moment.
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(
-            TcpStream::connect_timeout(&addr, std::time::Duration::from_millis(200)).is_err()
-                || {
-                    // Some platforms accept into the backlog briefly; a write
-                    // then read must at least not serve a response.
-                    true
-                }
+    fn keep_alive_serves_many_requests_on_one_connection() {
+        let (_server, addr) = server();
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        let mut w = stream;
+        let requests = [
+            ("POST", "/collections", r#"{"name":"ka","dim":2}"#, "201"),
+            (
+                "POST",
+                "/collections/ka/entities",
+                r#"{"ids":[1,2],"vectors":[[0.0,0.0],[1.0,0.0]]}"#,
+                "202",
+            ),
+            ("POST", "/collections/ka/flush", "", "200"),
+            ("POST", "/collections/ka/search", r#"{"vector":[0.9,0.0],"k":1}"#, "200"),
+            ("GET", "/metrics", "", "200"),
+            ("GET", "/collections", "", "200"),
+        ];
+        for (method, path, body, want) in requests {
+            write!(
+                w,
+                "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .unwrap();
+            let (status, headers, body) = read_one(&mut r);
+            assert!(status.contains(want), "{method} {path}: {status} {body}");
+            assert_eq!(header(&headers, "connection"), Some("keep-alive"), "{method} {path}");
+            if path.ends_with("search") {
+                assert!(body.contains(r#""id":2"#), "{body}");
+            }
+        }
+        // A closing request gets a closing response, then EOF.
+        write!(w, "GET /collections HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").unwrap();
+        let (status, headers, _) = read_one(&mut r);
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(header(&headers, "connection"), Some("close"));
+        let mut rest = Vec::new();
+        assert_eq!(
+            r.read_to_end(&mut rest).unwrap(),
+            0,
+            "server must close after Connection: close"
         );
+
+        // HTTP/1.0 closes by default.
+        let (_, headers, closed) =
+            raw_exchange(addr, b"GET /collections HTTP/1.0\r\nHost: test\r\n\r\n");
+        assert_eq!(header(&headers, "connection"), Some("close"));
+        assert!(closed);
+    }
+
+    #[test]
+    fn unframeable_requests_are_refused_and_closed() {
+        let (_server, addr) = server();
+        let long_header =
+            format!("GET /collections HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
+        let cases: [(&[u8], &str); 4] = [
+            (b"POST /collections HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n", "413"),
+            (b"POST /collections HTTP/1.1\r\nContent-Length: ten\r\n\r\n", "400"),
+            (b"POST /collections HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", "501"),
+            (long_header.as_bytes(), "431"),
+        ];
+        for (request, want) in cases {
+            let (status, headers, closed) = raw_exchange(addr, request);
+            assert!(status.contains(want), "want {want}, got {status}");
+            assert_eq!(header(&headers, "connection"), Some("close"), "{status}");
+            assert!(closed, "framing lost: the connection must close after {status}");
+        }
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_503() {
+        let server = RestServer::serve_capped(Arc::new(Milvus::new()), "127.0.0.1:0", 1).unwrap();
+        let addr = server.addr();
+        // Hold the only slot: once it has been answered it is counted.
+        let held = TcpStream::connect(addr).unwrap();
+        held.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        (&held).write_all(b"GET /collections HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        let (status, _, _) = read_one(&mut BufReader::new(&held));
+        assert!(status.contains("200"), "{status}");
+
+        let (status, headers, closed) =
+            raw_exchange(addr, b"GET /collections HTTP/1.1\r\nHost: test\r\n\r\n");
+        assert!(status.contains("503"), "{status}");
+        assert_eq!(header(&headers, "retry-after"), Some("1"));
+        assert!(closed);
+    }
+
+    #[test]
+    fn shutdown_is_clean() {
+        let milvus = Arc::new(Milvus::new());
+        let server = RestServer::serve(Arc::clone(&milvus), "127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        server.shutdown();
+        // The listener thread has exited and released its handle.
+        assert_eq!(Arc::strong_count(&milvus), 1, "listener thread still running");
+        // Nothing answers a new connection.
+        if let Ok(mut stream) = TcpStream::connect(addr) {
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let _ = stream.write_all(b"GET /collections HTTP/1.1\r\nHost: test\r\n\r\n");
+            let mut response = Vec::new();
+            let _ = stream.read_to_end(&mut response);
+            assert!(response.is_empty(), "served after shutdown: {response:?}");
+        }
     }
 }

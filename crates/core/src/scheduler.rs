@@ -5,9 +5,9 @@
 //! REST, the distributed reader) and the segment scanners. Two jobs:
 //!
 //! 1. **Coalescing** — concurrent `search`/`filtered_search` calls on the
-//!    same collection are held for a bounded window
-//!    ([`crate::config::SchedulerConfig::window`], or
-//!    `max_batch` pending — whichever first) and executed as one batch, so
+//!    same collection that arrive while another search runs are queued,
+//!    and as soon as it finishes the queue (up to
+//!    [`crate::config::SchedulerConfig::max_batch`]) runs as one batch, so
 //!    each segment's rows stream once per ×4 query tile instead of once
 //!    per query. A submitter that finds the scheduler idle passes straight
 //!    through to the serial path — sparse traffic pays zero added latency.
@@ -38,7 +38,7 @@ use crate::collection::SearchHit;
 use crate::config::SchedulerConfig;
 use crate::error::{MilvusError, Result};
 
-/// One coalescable query, owned (the window outlives the caller's borrows).
+/// One coalescable query, owned (the queue outlives the caller's borrows).
 #[derive(Debug, Clone)]
 pub enum SearchRequest {
     /// Plain vector query ([`crate::Collection::search`]).
@@ -222,10 +222,7 @@ impl QueryScheduler {
     /// Build the scheduler for collection `label`.
     pub fn new(label: &str, cfg: SchedulerConfig) -> Self {
         QueryScheduler {
-            coalescer: Coalescer::new(CoalesceConfig {
-                window: cfg.window,
-                max_batch: cfg.max_batch.max(1),
-            }),
+            coalescer: Coalescer::new(CoalesceConfig { max_batch: cfg.max_batch }),
             inflight: AtomicUsize::new(0),
             budget: Mutex::new(BudgetCache { budget: cfg.max_inflight.max(1), refreshed: None }),
             inflight_gauge: obs::gauge(obs::SCHED_INFLIGHT, label),

@@ -1,5 +1,5 @@
-//! Cross-caller query coalescing: a bounded-window rendezvous that turns
-//! concurrent single-query calls into one batched invocation.
+//! Cross-caller query coalescing: a rendezvous that turns concurrent
+//! single-query calls into one batched invocation.
 //!
 //! The batch engines ([`cache_aware` kernels in `milvus-index`]) amortize
 //! each streamed data row across a ×4 tile of resident queries, but only
@@ -8,15 +8,16 @@
 //!
 //! * **Zero-added-latency passthrough.** A submitter that finds the
 //!   coalescer idle (no batch running, nothing queued) claims a token and
-//!   runs the serial path itself — no timer, no queue round-trip, no added
-//!   latency floor for sparse traffic.
-//! * **Bounded window under contention.** Submitters that arrive while the
-//!   token is held (or while others are queued) enqueue. The oldest pending
-//!   query anchors the window: when it has waited `window`, or `max_batch`
-//!   queries are pending — whichever comes first — the queue head becomes
-//!   the *leader*, drains up to `max_batch` entries, and runs the caller's
-//!   batch closure on its own thread. Followers block on a condvar and are
-//!   handed their demultiplexed result.
+//!   runs the serial path itself — no queue round-trip, no added latency
+//!   floor for sparse traffic.
+//! * **Batch whatever queued behind the running pass.** Submitters that
+//!   arrive while the token is held (or while others are queued) enqueue.
+//!   As soon as the token frees, the queue head becomes the *leader*,
+//!   drains up to `max_batch` entries, and runs the caller's batch closure
+//!   on its own thread. No timer holds a query back: the batch is exactly
+//!   what arrived while the previous pass or batch ran, so its size tracks
+//!   load. Followers block on a condvar and are handed their demultiplexed
+//!   result.
 //!
 //! The closure is supplied per-submit (every caller passes the same logic;
 //! whoever leads uses theirs), must return exactly one result per query in
@@ -36,24 +37,18 @@ use parking_lot::{Condvar, Mutex};
 /// Tuning for one [`Coalescer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoalesceConfig {
-    /// Maximum time the oldest pending query is held before its batch runs
-    /// regardless of size. Zero degenerates to "lead as soon as the token
-    /// frees" (still batching whatever queued behind a running pass).
-    pub window: Duration,
-    /// Batch size that triggers immediate execution, and the cap on how
-    /// many entries one leader drains.
+    /// The cap on how many queued entries one leader drains.
     pub max_batch: usize,
 }
 
 impl Default for CoalesceConfig {
     fn default() -> Self {
-        CoalesceConfig { window: Duration::from_millis(1), max_batch: 32 }
+        CoalesceConfig { max_batch: 32 }
     }
 }
 
 struct Pending<Q> {
     id: u64,
-    enqueued: Instant,
     query: Q,
 }
 
@@ -90,7 +85,7 @@ pub enum Submitted<'a, Q, R> {
         /// True when this caller was the leader that executed the batch
         /// (exactly one per batch — the hook for batch-level metrics).
         led: bool,
-        /// Time this query was held in the window before its batch ran.
+        /// Time this query was queued before its batch ran.
         waited: Duration,
     },
 }
@@ -119,10 +114,10 @@ pub struct Coalescer<Q, R> {
 }
 
 impl<Q, R> Coalescer<Q, R> {
-    /// Build a coalescer with the given window/batch bounds.
+    /// Build a coalescer with the given batch bound.
     pub fn new(cfg: CoalesceConfig) -> Self {
         Coalescer {
-            cfg: CoalesceConfig { window: cfg.window, max_batch: cfg.max_batch.max(1) },
+            cfg: CoalesceConfig { max_batch: cfg.max_batch.max(1) },
             inner: Mutex::new(State {
                 queue: VecDeque::new(),
                 results: HashMap::new(),
@@ -138,7 +133,7 @@ impl<Q, R> Coalescer<Q, R> {
         self.cfg
     }
 
-    /// Queries currently held in the window (diagnostics/tests).
+    /// Queries currently queued (diagnostics/tests).
     pub fn pending(&self) -> usize {
         self.inner.lock().queue.len()
     }
@@ -164,12 +159,7 @@ impl<Q, R> Coalescer<Q, R> {
         let id = st.next_id;
         st.next_id += 1;
         let enqueued = Instant::now();
-        st.queue.push_back(Pending { id, enqueued, query });
-        if st.queue.len() >= self.cfg.max_batch {
-            // The head may be asleep on its window timer; a full batch
-            // should run now.
-            self.cv.notify_all();
-        }
+        st.queue.push_back(Pending { id, query });
         loop {
             if let Some(d) = st.results.remove(&id) {
                 return Submitted::Coalesced {
@@ -179,25 +169,12 @@ impl<Q, R> Coalescer<Q, R> {
                     waited: d.batch_started.saturating_duration_since(enqueued),
                 };
             }
-            let head = st.queue.front().map(|p| (p.id, p.enqueued));
-            match head {
-                Some((hid, head_enq)) if hid == id && !st.busy => {
-                    let deadline = head_enq + self.cfg.window;
-                    let now = Instant::now();
-                    if st.queue.len() >= self.cfg.max_batch || now >= deadline {
-                        return self.lead(st, id, enqueued, run);
-                    }
-                    // Head waits only until its own window deadline; a
-                    // timeout simply re-enters the loop and leads.
-                    self.cv.wait_for(&mut st, deadline - now);
-                }
-                _ => {
-                    // Not our turn (token held, or someone ahead of us owns
-                    // the window). Batch completion, token release, and
-                    // batch-full all notify.
-                    self.cv.wait(&mut st);
-                }
+            if !st.busy && st.queue.front().map(|p| p.id) == Some(id) {
+                return self.lead(st, id, enqueued, run);
             }
+            // Not our turn (token held, or someone ahead of us leads next).
+            // Token release and batch completion both notify.
+            self.cv.wait(&mut st);
         }
     }
 
@@ -241,7 +218,7 @@ impl<Q, R> Coalescer<Q, R> {
         st.busy = false;
         drop(st);
         // Wake followers to collect results, and the next head (if entries
-        // remained past max_batch) to start its own window.
+        // remained past max_batch or arrived during the batch) to lead.
         self.cv.notify_all();
         Submitted::Coalesced {
             result: own.expect("leader's own query missing from batch results"),
@@ -257,14 +234,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn cfg(window_ms: u64, max_batch: usize) -> CoalesceConfig {
-        CoalesceConfig { window: Duration::from_millis(window_ms), max_batch }
+    fn cfg(max_batch: usize) -> CoalesceConfig {
+        CoalesceConfig { max_batch }
     }
 
-    /// Serial submits always pass through — no queue, no timer.
+    /// Serial submits always pass through — no queue.
     #[test]
     fn idle_submits_pass_through() {
-        let co: Coalescer<u32, u32> = Coalescer::new(cfg(50, 8));
+        let co: Coalescer<u32, u32> = Coalescer::new(cfg(8));
         for i in 0..5u32 {
             let start = Instant::now();
             match co.submit(i, |_| unreachable!("passthrough must not batch")) {
@@ -282,7 +259,7 @@ mod tests {
     /// and each gets its own demultiplexed result.
     #[test]
     fn contending_submits_coalesce_and_demux() {
-        let co: Coalescer<u32, u32> = Coalescer::new(cfg(500, 4));
+        let co: Coalescer<u32, u32> = Coalescer::new(cfg(4));
         let batches = AtomicUsize::new(0);
         std::thread::scope(|s| {
             let holder = match co.submit(99, |_| unreachable!()) {
@@ -302,8 +279,8 @@ mod tests {
                     })
                 })
                 .collect();
-            // Wait until all four are queued (batch == max_batch triggers
-            // execution as soon as the token frees).
+            // Wait until all four are queued; the head leads as soon as the
+            // token frees and drains all of them.
             while co.pending() < 4 {
                 std::thread::yield_now();
             }
@@ -320,7 +297,7 @@ mod tests {
     /// `max_batch` caps each leader's drain; leftovers form the next batch.
     #[test]
     fn max_batch_splits_into_multiple_batches() {
-        let co: Coalescer<u32, u32> = Coalescer::new(cfg(5, 2));
+        let co: Coalescer<u32, u32> = Coalescer::new(cfg(2));
         let batches = AtomicUsize::new(0);
         std::thread::scope(|s| {
             let holder = match co.submit(99, |_| unreachable!()) {
@@ -353,11 +330,11 @@ mod tests {
         assert_eq!(batches.load(Ordering::SeqCst), 2);
     }
 
-    /// A lone queued query still runs once its window expires — the head
-    /// self-wakes off its deadline, nobody needs to nudge it.
+    /// A lone queued query leads as soon as the token frees: far below
+    /// `max_batch`, nothing holds it back.
     #[test]
-    fn window_expiry_runs_a_singleton_batch() {
-        let co: Coalescer<u32, u32> = Coalescer::new(cfg(10, 64));
+    fn lone_queued_query_leads_when_the_token_frees() {
+        let co: Coalescer<u32, u32> = Coalescer::new(cfg(64));
         std::thread::scope(|s| {
             let holder = match co.submit(99, |_| unreachable!()) {
                 Submitted::Pass(g) => g,
@@ -381,7 +358,7 @@ mod tests {
     /// Exactly one caller per batch reports `led` — the metrics hook.
     #[test]
     fn exactly_one_leader_per_batch() {
-        let co: Coalescer<u32, u32> = Coalescer::new(cfg(200, 3));
+        let co: Coalescer<u32, u32> = Coalescer::new(cfg(3));
         std::thread::scope(|s| {
             let holder = match co.submit(99, |_| unreachable!()) {
                 Submitted::Pass(g) => g,

@@ -15,7 +15,7 @@ fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> 
     let mut stream = TcpStream::connect(addr).expect("connect");
     write!(
         stream,
-        "{method} {path} HTTP/1.1\r\nHost: demo\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: demo\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
     .expect("send");

@@ -45,7 +45,6 @@ fn twins(
 ) -> (Arc<Collection>, Arc<Collection>) {
     let schema = Schema::single("v", DIM, Metric::L2).with_attribute("price");
     let mut on_cfg = CollectionConfig::for_tests();
-    on_cfg.scheduler.window = Duration::from_millis(200);
     on_cfg.scheduler.max_batch = 4;
     let mut off_cfg = CollectionConfig::for_tests();
     off_cfg.scheduler.coalescing = false;
@@ -213,10 +212,7 @@ fn single_query_passes_through_without_window_latency() {
     let _g = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let m = Milvus::new();
     let schema = Schema::single("v", DIM, Metric::L2);
-    let mut cfg = CollectionConfig::for_tests();
-    // A pathological 5 s window: if a lone query were held for the window,
-    // this test would take seconds. Passthrough must make it instant.
-    cfg.scheduler.window = Duration::from_secs(5);
+    let cfg = CollectionConfig::for_tests();
     let col = m.create_collection("sched_pass", schema, cfg).unwrap();
     let ids: Vec<i64> = (0..200).collect();
     let mut vs = VectorSet::new(DIM);

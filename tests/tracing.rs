@@ -269,7 +269,7 @@ fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (St
     let mut stream = TcpStream::connect(addr).expect("connect");
     write!(
         stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
     .unwrap();
